@@ -111,7 +111,11 @@ pub struct HierarchyStats {
     pub l2: LevelStats,
     /// Shared LLC totals.
     pub llc: LevelStats,
-    /// Dirty LLC evictions sent to memory.
+    /// Dirty LLC evictions, counted whether or not they reach memory: an
+    /// access hands at most one dirty victim to the scheme
+    /// ([`Outcome::writeback`], preferring the demand-path victim), so
+    /// when one access evicts two, the spill victim is counted here but
+    /// never sent.
     pub writebacks: u64,
 }
 

@@ -211,6 +211,13 @@ impl CacheStats {
 /// granularity. This structure is used for the L1/L2/LLC SRAM levels and for
 /// scheme metadata caches (where "addresses" are table-entry indices scaled
 /// by an entry size).
+///
+/// The most recently hit or filled line is memoized as `(mru_line,
+/// mru_way)`: a repeat access to that line updates the recorded way
+/// directly instead of scanning its set. The memo is exact because only a
+/// fill can displace a line and every fill re-points it, while
+/// [`SetAssocCache::invalidate`] clears it. A cleared memo holds
+/// `mru_way == usize::MAX`.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -220,6 +227,8 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_shift: u32,
     clock: u64,
+    mru_line: u64,
+    mru_way: usize,
 }
 
 impl SetAssocCache {
@@ -233,6 +242,8 @@ impl SetAssocCache {
             ways,
             stats: CacheStats::default(),
             clock: 0,
+            mru_line: 0,
+            mru_way: usize::MAX,
             cfg,
         }
     }
@@ -247,43 +258,76 @@ impl SetAssocCache {
         &self.stats
     }
 
+    /// The `(set, tag)` of a line number.
     #[inline]
-    fn set_of(&self, addr: u64) -> (u64, u64) {
-        let line = addr >> self.line_shift;
+    fn set_of(&self, line: u64) -> (u64, u64) {
         (line & self.set_mask, line >> self.set_shift)
     }
 
-    fn set_range(&self, set: u64) -> core::ops::Range<usize> {
+    /// The memoized way, if `line` is the MRU line.
+    #[inline]
+    fn mru_way_of(&self, line: u64) -> Option<usize> {
+        (line == self.mru_line && self.mru_way != usize::MAX).then_some(self.mru_way)
+    }
+
+    /// The way holding `line`, if resident: the memoized way when `line`
+    /// is the MRU line, else found by scanning its set. Mutates nothing.
+    #[inline]
+    fn find_way(&self, line: u64) -> Option<usize> {
+        if let Some(idx) = self.mru_way_of(line) {
+            return Some(idx);
+        }
+        let (set, tag) = self.set_of(line);
         let start = (set * u64::from(self.cfg.assoc)) as usize;
-        start..start + self.cfg.assoc as usize
+        self.ways[start..start + self.cfg.assoc as usize]
+            .iter()
+            .position(|w| w.valid() && w.tag == tag)
+            .map(|i| start + i)
+    }
+
+    /// The hit path: advances the clock, restamps way `idx` (which holds
+    /// `line`) as most recently used, sets its dirty bit on a write,
+    /// counts the hit and memoizes the line.
+    #[inline]
+    fn hit_way(&mut self, idx: usize, line: u64, write: bool) {
+        self.clock += 1;
+        let w = &mut self.ways[idx];
+        w.meta = (self.clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        self.mru_line = line;
+        self.mru_way = idx;
     }
 
     /// Looks up `addr`, allocating it on miss (possibly evicting a victim).
     /// `write` marks the line dirty.
     ///
-    /// Hit scan and victim scan are fused into one pass over a set sliced
+    /// A repeat of the last hit or filled line skips the set scan. Otherwise
+    /// hit scan and victim scan are fused into one pass over a set sliced
     /// out once: a hit returns immediately; otherwise the pass has already
     /// found the first invalid way (preferred victim) and the LRU way.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
-        self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.set_of(addr);
+        const HIT: Access = Access {
+            hit: true,
+            evicted: None,
+        };
+        let line = addr >> self.line_shift;
+        if let Some(idx) = self.mru_way_of(line) {
+            self.hit_way(idx, line, write);
+            return HIT;
+        }
+        let (set, tag) = self.set_of(line);
         let start = (set * u64::from(self.cfg.assoc)) as usize;
-        let ways = &mut self.ways[start..start + self.cfg.assoc as usize];
-        self.stats.accesses += 1;
+        let ways = &self.ways[start..start + self.cfg.assoc as usize];
 
         let mut lru = 0usize;
         let mut lru_stamp = u64::MAX;
         let mut invalid: Option<usize> = None;
-        for (i, w) in ways.iter_mut().enumerate() {
+        for (i, w) in ways.iter().enumerate() {
             if w.valid() {
                 if w.tag == tag {
-                    w.meta = (clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
-                    self.stats.hits += 1;
-                    return Access {
-                        hit: true,
-                        evicted: None,
-                    };
+                    self.hit_way(start + i, line, write);
+                    return HIT;
                 }
                 if w.stamp() < lru_stamp {
                     lru_stamp = w.stamp();
@@ -295,6 +339,8 @@ impl SetAssocCache {
         }
 
         // Miss: fill the first invalid way, else evict the LRU victim.
+        self.clock += 1;
+        self.stats.accesses += 1;
         let victim_idx = start + invalid.unwrap_or(lru);
         let evicted = if invalid.is_some() {
             None
@@ -309,7 +355,9 @@ impl SetAssocCache {
             })
         };
 
-        self.ways[victim_idx] = Way::filled(tag, write, clock);
+        self.ways[victim_idx] = Way::filled(tag, write, self.clock);
+        self.mru_line = line;
+        self.mru_way = victim_idx;
         Access {
             hit: false,
             evicted,
@@ -329,55 +377,38 @@ impl SetAssocCache {
     /// wait for global ordering and be replayed in full.
     #[inline]
     pub fn access_if_hit(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let start = (set * u64::from(self.cfg.assoc)) as usize;
-        let ways = &mut self.ways[start..start + self.cfg.assoc as usize];
-        for w in ways.iter_mut() {
-            if w.valid() && w.tag == tag {
-                self.clock += 1;
-                w.meta = (self.clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
-                self.stats.accesses += 1;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        false
+        let line = addr >> self.line_shift;
+        let Some(idx) = self.find_way(line) else {
+            return false;
+        };
+        self.hit_way(idx, line, write);
+        true
     }
 
     /// Non-allocating residency probe.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_of(addr);
-        self.ways[self.set_range(set)]
-            .iter()
-            .any(|w| w.valid() && w.tag == tag)
+        self.find_way(addr >> self.line_shift).is_some()
     }
 
     /// Marks a resident line dirty without affecting LRU; returns whether the
     /// line was resident. Used by LGM's "mark instead of migrate" policy.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid() && w.tag == tag {
-                w.meta |= Way::DIRTY;
-                return true;
-            }
-        }
-        false
+        let Some(idx) = self.find_way(addr >> self.line_shift) else {
+            return false;
+        };
+        self.ways[idx].meta |= Way::DIRTY;
+        true
     }
 
-    /// Removes a line; returns `Some(dirty)` if it was resident.
+    /// Removes a line; returns `Some(dirty)` if it was resident. Clears the
+    /// MRU memo.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.set_of(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid() && w.tag == tag {
-                let dirty = w.dirty();
-                w.meta &= !(Way::VALID | Way::DIRTY);
-                return Some(dirty);
-            }
-        }
-        None
+        let idx = self.find_way(addr >> self.line_shift);
+        self.mru_way = usize::MAX;
+        let w = &mut self.ways[idx?];
+        let dirty = w.dirty();
+        w.meta &= !(Way::VALID | Way::DIRTY);
+        Some(dirty)
     }
 
     /// Number of currently valid lines.
@@ -607,6 +638,103 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A memo-free true-LRU reference: every operation scans its set. Each
+    /// way holds `(line number, dirty, last use)`; a fill takes the first
+    /// empty way, else the least recently used one.
+    struct LruModel {
+        line: u64,
+        sets: Vec<Vec<Option<(u64, bool, u64)>>>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl LruModel {
+        fn new(cfg: CacheConfig) -> Self {
+            LruModel {
+                line: cfg.line_size(),
+                sets: vec![vec![None; cfg.associativity() as usize]; cfg.sets() as usize],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn find(&mut self, addr: u64) -> Option<&mut (u64, bool, u64)> {
+            let line = addr / self.line;
+            let n = self.sets.len() as u64;
+            self.sets[(line % n) as usize]
+                .iter_mut()
+                .flatten()
+                .find(|w| w.0 == line)
+        }
+
+        fn access_if_hit(&mut self, addr: u64, write: bool) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let Some(w) = self.find(addr) else {
+                return false;
+            };
+            w.1 |= write;
+            w.2 = clock;
+            self.stats.accesses += 1;
+            self.stats.hits += 1;
+            true
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> Access {
+            if self.access_if_hit(addr, write) {
+                return Access {
+                    hit: true,
+                    evicted: None,
+                };
+            }
+            self.stats.accesses += 1;
+            let line = addr / self.line;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            let slot = set.iter().position(Option::is_none).unwrap_or_else(|| {
+                (0..set.len())
+                    .min_by_key(|&i| set[i].map_or(0, |w| w.2))
+                    .unwrap()
+            });
+            let evicted = set[slot].map(|(l, dirty, _)| Evicted {
+                line_addr: l * self.line,
+                dirty,
+            });
+            if evicted.is_some_and(|e| e.dirty) {
+                self.stats.dirty_evictions += 1;
+            }
+            set[slot] = Some((line, write, self.clock));
+            Access {
+                hit: false,
+                evicted,
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            let line = addr / self.line;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            let i = set.iter().position(|w| w.is_some_and(|w| w.0 == line))?;
+            set[i].take().map(|w| w.1)
+        }
+
+        fn mark_dirty(&mut self, addr: u64) -> bool {
+            self.find(addr).map(|w| w.1 = true).is_some()
+        }
+
+        fn resident_lines(&self) -> Vec<u64> {
+            let mut lines: Vec<u64> = self
+                .sets
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|w| w.0 * self.line)
+                .collect();
+            lines.sort_unstable();
+            lines
+        }
+    }
+
     proptest! {
         /// The most recently touched line of a set is never the next victim.
         #[test]
@@ -644,6 +772,53 @@ mod proptests {
             for a in addrs {
                 c.access(a, false);
                 prop_assert!(c.probe(a));
+            }
+        }
+
+        /// The MRU-line shortcut is invisible: random mixes of `access`,
+        /// `access_if_hit`, `invalidate` and `mark_dirty`, half of them
+        /// repeating the previous op's line, return what a memo-free
+        /// true-LRU model returns and leave the same statistics, resident
+        /// lines and next victim in every set.
+        #[test]
+        fn mru_shortcut_matches_true_lru_model(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u64..4096, any::<bool>(), any::<bool>()),
+                1..400,
+            )
+        ) {
+            for (capacity, assoc, line) in [(512, 2, 64), (1024, 4, 32)] {
+                let cfg = CacheConfig::new(capacity, assoc, line).unwrap();
+                let mut cache = SetAssocCache::new(cfg);
+                let mut model = LruModel::new(cfg);
+                let mut prev = 0u64;
+                for &(op, fresh, write, repeat) in &ops {
+                    let addr = if repeat {
+                        prev - prev % line + fresh % line
+                    } else {
+                        fresh
+                    };
+                    prev = addr;
+                    match op {
+                        0 | 1 => prop_assert_eq!(cache.access(addr, write), model.access(addr, write)),
+                        2 => prop_assert_eq!(
+                            cache.access_if_hit(addr, write),
+                            model.access_if_hit(addr, write)
+                        ),
+                        3 => prop_assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
+                        _ => prop_assert_eq!(cache.mark_dirty(addr), model.mark_dirty(addr)),
+                    }
+                }
+                prop_assert_eq!(*cache.stats(), model.stats);
+                let mut resident: Vec<u64> = cache.resident_lines().collect();
+                resident.sort_unstable();
+                prop_assert_eq!(resident, model.resident_lines());
+                // A line of an unused tag in every set exposes each set's
+                // next victim.
+                for set in 0..cfg.sets() {
+                    let addr = (set + cfg.sets() * 4096) * line;
+                    prop_assert_eq!(cache.access(addr, false), model.access(addr, false));
+                }
             }
         }
 

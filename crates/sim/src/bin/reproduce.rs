@@ -11,7 +11,8 @@
 //! options:
 //!   --exp <id>        experiment id (fig01..fig18, table2, abl-budget,
 //!                     abl-stack, evalsuite, all)          [default: evalsuite]
-//!   --scale <den>     capacity divisor vs the paper's system [default: 64]
+//!   --scale <den>     capacity divisor vs the paper's system, a power of
+//!                     two in 1..=2048                     [default: 64]
 //!   --instrs <n>      instructions per core per run       [default: 300000]
 //!   --smoke           run the 3-benchmark smoke set instead of all 30
 //!   --seed <n>        RNG seed                            [default: 2020]
@@ -94,10 +95,11 @@
 //!
 //! Exit status: 0 on success, 1 on runtime failure (I/O, inconsistent
 //! shard files, corrupt run records), 2 on a usage error (unknown
-//! flag/subcommand/id, malformed filter value). Argument handling never
-//! panics; sizing *values* are not semantically validated, so an extreme
-//! `--scale` can still trip the simulator's own structural asserts
-//! (`ScaledSystem::new`) once the run starts.
+//! flag/subcommand/id, malformed filter value, out-of-range sizing value).
+//! Argument handling never panics. `--scale` is checked at parse time
+//! against the values the scaled system accepts (powers of two in
+//! 1..=2048), so a bad value is a usage error rather than a panic in the
+//! worker threads.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
 use sim::shard::{self, ShardSpec};
@@ -188,6 +190,12 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Re
         .map_err(|_| format!("{name} needs an integer value, got {:?}", args[i + 1]))
 }
 
+/// Largest accepted `--scale`: the scaled 64 MiB DRAM cache must hold at
+/// least one 16-way XTA set of 2 KiB pages (`ScaledSystem::new`). Scales
+/// must also be powers of two, or the scaled NM does not split evenly
+/// across MemPod's pods.
+const MAX_SCALE_DEN: u64 = 2048;
+
 /// Consumes one of the sizing flags shared by every run subcommand
 /// (`--scale/--instrs/--seed/--threads/--batch/--machine-threads/
 /// --service`) at `args[i]`, returning the next index, or `None` if
@@ -198,7 +206,16 @@ fn parse_sizing_flag(
     i: usize,
 ) -> Result<Option<usize>, String> {
     match args[i].as_str() {
-        "--scale" => cfg.scale_den = flag_value(args, i, "--scale")?,
+        "--scale" => {
+            cfg.scale_den = flag_value(args, i, "--scale")?;
+            if !cfg.scale_den.is_power_of_two() || cfg.scale_den > MAX_SCALE_DEN {
+                return Err(format!(
+                    "--scale must be a power of two in 1..={MAX_SCALE_DEN} (beyond \
+                     {MAX_SCALE_DEN} the DRAM cache shrinks below one XTA set), got {}",
+                    cfg.scale_den
+                ));
+            }
+        }
         "--instrs" => cfg.instrs_per_core = flag_value(args, i, "--instrs")?,
         "--seed" => cfg.seed = flag_value(args, i, "--seed")?,
         "--threads" => cfg.threads = flag_value(args, i, "--threads")?,
@@ -1054,6 +1071,25 @@ mod tests {
             .contains("8gb"));
         assert!(parse(&["--shard"]).unwrap_err().contains("--shard"));
         assert!(parse(&["--out"]).unwrap_err().contains("--out"));
+    }
+
+    #[test]
+    fn scale_outside_the_scaled_system_range_is_a_usage_error() {
+        for bad in ["0", "3", "4096"] {
+            for args in [
+                &["--scale", bad][..],
+                &["scenario", "tile-shrink", "--scale", bad],
+            ] {
+                let e = parse(args).unwrap_err();
+                assert!(e.contains("2048"), "{args:?} -> {e}");
+            }
+        }
+        for good in ["1", "2048"] {
+            match parse(&["--scale", good]).unwrap() {
+                Command::Eval { cfg, .. } => assert_eq!(cfg.scale_den.to_string(), good),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

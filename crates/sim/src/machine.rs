@@ -5,7 +5,7 @@ use std::sync::{mpsc, RwLock};
 use cpu::{Core, CoreConfig, SideBuffer};
 use dram::{DramSystem, SchemeStats};
 use mem_cache::{Hierarchy, SetAssocCache};
-use sim_types::{Cycle, MemReq, MemSide, TraceOp, TraceSource, TrafficClass};
+use sim_types::{Cycle, MemReq, MemSide, PAddr, TraceOp, TraceSource, TrafficClass, VAddr};
 use workloads::{TraceGen, Workload};
 
 use crate::any_scheme::AnyScheme;
@@ -19,6 +19,37 @@ use crate::page_alloc::PageAllocator;
 /// interaction anyway, so a generous cap simply lets long private-hit
 /// bursts amortize the scheduler re-pick.
 pub const DEFAULT_BATCH: usize = 4096;
+
+/// One core's last successful page translation, `(vpage, frame base)`.
+///
+/// Page mappings are append-only and a core's address space is fixed for
+/// the run, so a memo hit returns exactly what the page table would, and
+/// the page is already mapped (never a first touch). A virtual page number
+/// is at most 2^52, so the empty memo's `u64::MAX` matches none.
+#[derive(Clone, Copy)]
+struct PageMemo {
+    vpage: u64,
+    base: u64,
+}
+
+impl PageMemo {
+    const EMPTY: PageMemo = PageMemo {
+        vpage: u64::MAX,
+        base: 0,
+    };
+
+    #[inline]
+    fn get(self, vaddr: VAddr) -> Option<PAddr> {
+        let v = vaddr.raw();
+        (v >> 12 == self.vpage).then(|| PAddr::new(self.base | (v & 4095)))
+    }
+
+    #[inline]
+    fn set(&mut self, vaddr: VAddr, paddr: PAddr) {
+        self.vpage = vaddr.raw() >> 12;
+        self.base = paddr.raw() & !4095;
+    }
+}
 
 /// Packs one core's scheduler pick key: `now << idx_bits | index`, with
 /// `u64::MAX` reserved as the "finished" sentinel.
@@ -215,6 +246,10 @@ impl Machine {
         // Per-core op decoded during run-ahead but found to need a shared
         // structure: it executes when the core is next globally earliest.
         let mut pending: Vec<Option<TraceOp>> = vec![None; ncores];
+        // Per-core translation memo: most consecutive ops of a core fall
+        // in the page of its previous op, so both phases check it before
+        // probing the page table.
+        let mut memo = vec![PageMemo::EMPTY; ncores];
         // Highest clock-before-op any executed op (or trace-exhaustion
         // check) observed — the reference fires ticks up to exactly this
         // horizon, so the trailing catch-up below uses it.
@@ -283,12 +318,19 @@ impl Machine {
                     };
                     cores[i].advance_instructions(op.instructions());
 
-                    let space = if shared_space { 0 } else { i as u8 };
-                    let (paddr, fresh_page) = pages.translate_tracking(space, op.addr);
-                    if os_hints && fresh_page {
-                        let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
-                        scheme.os_hint_used(page_base, 4096);
-                    }
+                    let paddr = match memo[i].get(op.addr) {
+                        Some(paddr) => paddr,
+                        None => {
+                            let space = if shared_space { 0 } else { i as u8 };
+                            let (paddr, fresh_page) = pages.translate_tracking(space, op.addr);
+                            if os_hints && fresh_page {
+                                let page_base = PAddr::new(paddr.raw() & !4095);
+                                scheme.os_hint_used(page_base, 4096);
+                            }
+                            memo[i].set(op.addr, paddr);
+                            paddr
+                        }
+                    };
                     let out = hierarchy.access(i, paddr, op.kind);
 
                     if let Some(wb) = out.writeback {
@@ -340,10 +382,14 @@ impl Machine {
                         keys[i] = u64::MAX;
                         continue 'epoch;
                     };
-                    let space = if shared_space { 0 } else { i as u8 };
-                    let local = pages
-                        .lookup(space, op.addr)
-                        .is_some_and(|paddr| hierarchy.l1_access_fast(i, paddr, op.kind));
+                    let paddr = memo[i].get(op.addr).or_else(|| {
+                        let space = if shared_space { 0 } else { i as u8 };
+                        let paddr = pages.lookup(space, op.addr)?;
+                        memo[i].set(op.addr, paddr);
+                        Some(paddr)
+                    });
+                    let local =
+                        paddr.is_some_and(|paddr| hierarchy.l1_access_fast(i, paddr, op.kind));
                     if !local {
                         // Would touch a shared structure: stash it for the
                         // next pick. The key stays the clock *before* the

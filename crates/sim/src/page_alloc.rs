@@ -8,8 +8,10 @@
 //! exactly capacity-proportional placement. Multi-programmed workloads get
 //! one address space per core; multi-threaded workloads share space 0.
 //!
-//! The `(space, vpage) → frame` map is consulted once per memory op on
-//! [`Machine::run`](crate::Machine::run)'s hot path, so it is an
+//! The `(space, vpage) → frame` map is consulted once per memory op by
+//! the reference loop, and on every page change of a core by
+//! [`Machine::run`](crate::Machine::run) (which memoizes each core's last
+//! page), so it is an
 //! open-addressing table with a multiply-xor hash rather than a SipHash
 //! `HashMap` — same mapping (frame choice comes from [`SplitMix64`], never
 //! from table order), a fraction of the lookup cost.
